@@ -288,7 +288,15 @@ func serve(svc *server.Service, addr string, metrics *obs.Metrics, withPprof boo
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	hs := &http.Server{Handler: handler}
+	// Bound how long a client may trickle its headers and hold an idle
+	// keep-alive connection. No WriteTimeout: result streams are
+	// long-lived, and a stalled reader cancels its query via the
+	// request context instead.
+	hs := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go hs.Serve(ln)
 	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

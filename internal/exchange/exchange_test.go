@@ -229,7 +229,9 @@ func TestClusterFallback(t *testing.T) {
 
 // TestClusterOneShardMatchesSingleProcess: an N=1 cluster must return
 // bit-identical rows (order included) to plain single-process
-// execution on both backends.
+// execution at one worker, and the same multiset at any worker count —
+// with several workers, grouped output order follows whichever
+// worker's pre-aggregation flushes first, on both sides independently.
 func TestClusterOneShardMatchesSingleProcess(t *testing.T) {
 	db := sqlcheck.MiniTPCH(16, true)
 	cl, err := New(db, 1)
@@ -244,16 +246,23 @@ func TestClusterOneShardMatchesSingleProcess(t *testing.T) {
 	}
 	for _, text := range texts {
 		for _, engine := range []string{EngineTyper, EngineTectorwise} {
-			got, err := cl.Run(ctx, Request{SQL: text, Engine: engine, Workers: 2, VecSize: 128})
-			if err != nil {
-				t.Fatalf("%s: %v", engine, err)
-			}
-			want, err := cl.runLocal(ctx, mustPrepare(t, db, text), Request{Engine: engine, Workers: 2, VecSize: 128})
-			if err != nil {
-				t.Fatalf("%s local: %v", engine, err)
-			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Errorf("%s n=1 not bit-identical for %q\n got %v\nwant %v", engine, text, got.Rows, want.Rows)
+			for _, workers := range []int{1, 2} {
+				req := Request{Engine: engine, Workers: workers, VecSize: 128}
+				want, err := cl.runLocal(ctx, mustPrepare(t, db, text), req)
+				if err != nil {
+					t.Fatalf("%s local: %v", engine, err)
+				}
+				req.SQL = text
+				got, err := cl.Run(ctx, req)
+				if err != nil {
+					t.Fatalf("%s: %v", engine, err)
+				}
+				if workers == 1 && !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("%s n=1 not bit-identical at 1 worker for %q\n got %v\nwant %v", engine, text, got.Rows, want.Rows)
+				}
+				if !reflect.DeepEqual(sqlcheck.Canon(got.Rows), sqlcheck.Canon(want.Rows)) {
+					t.Errorf("%s n=1 not multiset-identical at %d workers for %q\n got %v\nwant %v", engine, workers, text, got.Rows, want.Rows)
+				}
 			}
 		}
 	}

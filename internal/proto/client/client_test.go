@@ -3,10 +3,15 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"paradigms/internal/proto"
+	"paradigms/internal/server"
 )
 
 // TestRetryErrorFloorsBackoff: a 429 whose body lacks (or zeroes) the
@@ -42,5 +47,30 @@ func TestRetryErrorFloorsBackoff(t *testing.T) {
 				t.Errorf("RetryAfter = %v, want %v", re.RetryAfter, wants[name])
 			}
 		})
+	}
+}
+
+// TestOversizedRequestIsServerError: a request body past the server's
+// limit surfaces as a *ServerError carrying HTTP 413 and the too_large
+// code, not as a transport failure.
+func TestOversizedRequestIsServerError(t *testing.T) {
+	svc := server.New(server.Config{
+		WorkerBudget:  1,
+		MaxConcurrent: 1,
+		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
+			return nil, fmt.Errorf("stub: never reached")
+		},
+	})
+	defer svc.Close()
+	ts := httptest.NewServer(proto.NewServer(svc, nil).Handler())
+	defer ts.Close()
+
+	_, err := New(ts.URL, "t").Query(context.Background(), "typer", strings.Repeat("x", proto.MaxRequestBytes))
+	var se *ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *ServerError", err)
+	}
+	if se.Status != http.StatusRequestEntityTooLarge || se.Code != proto.CodeTooLarge {
+		t.Errorf("got HTTP %d code %q, want 413 %q", se.Status, se.Code, proto.CodeTooLarge)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,28 @@ func TestConformanceGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// A body past MaxRequestBytes is refused before it is decoded, on
+	// both POST endpoints, with a typed 413.
+	oversized := `{"sql":"` + strings.Repeat("x", proto.MaxRequestBytes) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/prepare"} {
+		t.Run("too-large-"+strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(oversized))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413", resp.StatusCode)
+			}
+			e, err := proto.DecodeErrorBody(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Code != proto.CodeTooLarge {
+				t.Errorf("code %q, want %q", e.Code, proto.CodeTooLarge)
+			}
+		})
+	}
 }
 
 // TestConformanceOverload pins the backpressure shape: a full admission
@@ -258,7 +281,9 @@ func assertFrameSeq(t *testing.T, raw []byte, want []string) []*proto.Frame {
 
 // FuzzProtoDecode chases panics and shape-check escapes in the strict
 // decoders. Every input that decodes successfully must re-encode and
-// re-decode to the same value (round-trip stability).
+// re-decode to the same value (round-trip stability), and every input
+// the rows-frame fast path accepts the reflective strict decoder must
+// accept with identical rows — the fast path may never be looser.
 func FuzzProtoDecode(f *testing.F) {
 	seeds := []string{
 		`{"frame":"cols","cols":[{"name":"a","type":"int64"}]}`,
@@ -273,11 +298,32 @@ func FuzzProtoDecode(f *testing.F) {
 		`not json at all`,
 		`{}`,
 		`{"frame":"cols","cols":[{"name":"a","type":"int64"}]} trailing`,
+		// Near misses of the canonical rows shape.
+		`{"frame":"rows","rows":[[-9223372036854775808,9223372036854775807]]}`,
+		`{"frame":"rows","rows":[[-0]]}`,
+		`{"frame":"rows","rows":[[007]]}`,
+		`{"frame":"rows","rows":[[1e3]]}`,
+		`{"frame":"rows","rows":[[1.0]]}`,
+		`{"frame":"rows","rows":[[1234567890123456789]]}`,
+		`{"frame":"rows","rows":[[1, 2],[ 3]]}`,
+		`{"frame":"rows","rows":[[1]],"rows":[[2]]}`,
+		`{"frame":"rows","rows":[[1],[]]}`,
+		`{"frame":"rows","rows":[[1]]} x`,
+		`{"frame":"rows","rows":[[1]]}` + " \t\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if fast, ok := proto.DecodeRowsFrame(data); ok {
+			strict, err := proto.DecodeFrameStrict(data)
+			if err != nil {
+				t.Fatalf("fast path accepted %q, strict decoder rejects it: %v", data, err)
+			}
+			if !reflect.DeepEqual(fast, strict) {
+				t.Fatalf("fast path and strict decoder disagree on %q:\nfast:   %+v\nstrict: %+v", data, fast, strict)
+			}
+		}
 		if fr, err := proto.DecodeFrame(data); err == nil {
 			reenc, err := jsonMarshal(fr)
 			if err != nil {

@@ -16,13 +16,13 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
 
-	"paradigms/internal/catalog"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 )
@@ -43,7 +43,12 @@ const (
 	CodeClosed     = "closed"      // service is shutting down
 	CodeExec       = "exec_error"  // the query failed while executing
 	CodeCanceled   = "canceled"    // the query's context was canceled
+	CodeTooLarge   = "too_large"   // request body exceeds MaxRequestBytes
 )
+
+// MaxRequestBytes bounds a request body; a larger one is rejected with
+// HTTP 413 and CodeTooLarge before it is decoded.
+const MaxRequestBytes = 1 << 20
 
 // QueryRequest is the body of POST /v1/query. Exactly one SQL text per
 // request; Args non-nil (with Prepared true) selects the
@@ -134,9 +139,9 @@ type PrepareResponse struct {
 
 // Col is one output column of a result stream.
 type Col struct {
-	Name string `json:"name"`
-	Type string `json:"type"`            // "int32" | "int64" | "numeric" | "date" | ...
-	Scale int   `json:"scale,omitempty"` // decimal scale of numeric columns
+	Name  string `json:"name"`
+	Type  string `json:"type"`            // "int32" | "int64" | "numeric" | "date" | ...
+	Scale int    `json:"scale,omitempty"` // decimal scale of numeric columns
 }
 
 // ColsOf renders the engine schema on the wire.
@@ -146,16 +151,6 @@ func ColsOf(cols []logical.OutCol) []Col {
 		out[i] = Col{Name: c.Name, Type: c.Type.Kind.String(), Scale: c.Type.Scale}
 	}
 	return out
-}
-
-// KindOf parses a wire type name back to the catalog kind.
-func KindOf(name string) (catalog.Kind, error) {
-	for k := catalog.Int32; k <= catalog.String; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("proto: unknown column type %q", name)
 }
 
 // Frame is one line of a streamed query response. Which fields are
@@ -177,10 +172,23 @@ type Frame struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// DecodeFrame strictly decodes and shape-checks one frame line.
+// DecodeFrame strictly decodes and shape-checks one frame line. The
+// canonical rows frame, the only frame whose size grows with the
+// result, takes a hand-rolled fast path; every other input, including
+// any rows frame the fast path does not recognize, goes through the
+// reflective decoder, which alone decides what is an error.
 func DecodeFrame(line []byte) (*Frame, error) {
+	if f, ok := decodeRowsFrame(line); ok {
+		return f, nil
+	}
+	return decodeFrameStrict(line)
+}
+
+// decodeFrameStrict is the reflective strict decoder: unknown fields
+// and trailing data are errors, and each frame type is shape-checked.
+func decodeFrameStrict(line []byte) (*Frame, error) {
 	var f Frame
-	dec := json.NewDecoder(strings.NewReader(string(line)))
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("proto: bad frame: %w", err)

@@ -77,6 +77,20 @@ func httpError(w http.ResponseWriter, status int, body ErrorBody) {
 	w.Write(append(raw, '\n'))
 }
 
+// bodyError rejects an undecodable request body: HTTP 413 when it
+// overran MaxRequestBytes, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, ErrorBody{
+			Error: fmt.Sprintf("proto: request body exceeds %d bytes", tooLarge.Limit),
+			Code:  CodeTooLarge,
+		})
+		return
+	}
+	httpError(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Code: CodeBadRequest})
+}
+
 // errCode classifies an execution error for the terminal frame.
 func errCode(err error) string {
 	switch {
@@ -92,9 +106,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, ErrorBody{Error: "POST only", Code: CodeBadRequest})
 		return
 	}
-	q, err := DecodeQueryRequest(r.Body)
+	q, err := DecodeQueryRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Code: CodeBadRequest})
+		bodyError(w, err)
 		return
 	}
 	engine := q.Engine
@@ -186,9 +200,9 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, ErrorBody{Error: "POST only", Code: CodeBadRequest})
 		return
 	}
-	req, err := DecodePrepareRequest(r.Body)
+	req, err := DecodePrepareRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Code: CodeBadRequest})
+		bodyError(w, err)
 		return
 	}
 	p, err := s.svc.Prepare(req.SQL)
@@ -264,7 +278,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // client while the scan is still running. The executors serialize
 // SetCols/PushRows; the terminal frame is written by the handler after
 // Wait, so only the `wrote` flag needs the mutex (read from the handler
-// goroutine on the failed-before-start path).
+// goroutine on the failed-before-start path). Rows frames are
+// append-encoded into buf, which the sink reuses across batches.
 type ndjsonSink struct {
 	w http.ResponseWriter
 
@@ -272,6 +287,7 @@ type ndjsonSink struct {
 	wrote bool
 	rows  int64
 	err   error
+	buf   []byte
 }
 
 func (s *ndjsonSink) started() bool {
@@ -289,10 +305,20 @@ func (s *ndjsonSink) RowCount() int64 {
 	return s.rows
 }
 
-// frame writes one frame line and flushes it down the wire.
+// frame writes one single-instance frame (cols, analyze, end, error).
 func (s *ndjsonSink) frame(f Frame) error {
+	raw, err := json.Marshal(f)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	return s.writeLocked(append(raw, '\n'))
+}
+
+// writeLocked writes one frame line and flushes it down the wire. The
+// caller holds mu.
+func (s *ndjsonSink) writeLocked(line []byte) error {
 	if s.err != nil {
 		return s.err
 	}
@@ -300,11 +326,7 @@ func (s *ndjsonSink) frame(f Frame) error {
 		s.w.Header().Set("Content-Type", "application/x-ndjson")
 		s.wrote = true
 	}
-	raw, err := json.Marshal(f)
-	if err == nil {
-		_, err = s.w.Write(append(raw, '\n'))
-	}
-	if err != nil {
+	if _, err := s.w.Write(line); err != nil {
 		s.err = err
 		return err
 	}
@@ -321,11 +343,12 @@ func (s *ndjsonSink) SetCols(cols []logical.OutCol) error {
 
 // PushRows implements logical.RowSink.
 func (s *ndjsonSink) PushRows(rows [][]int64) error {
-	err := s.frame(Frame{Type: FrameRows, Rows: rows})
-	if err == nil {
-		s.mu.Lock()
-		s.rows += int64(len(rows))
-		s.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.buf = appendRowsFrame(s.buf[:0], rows)
+	if err := s.writeLocked(s.buf); err != nil {
+		return err
 	}
-	return err
+	s.rows += int64(len(rows))
+	return nil
 }

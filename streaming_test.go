@@ -94,32 +94,14 @@ func streamingEquivalence(t *testing.T, dataset string) {
 				t.Errorf("%s: end frame counts %d rows, stream carried %d\n%s",
 					engine, rows.RowCount(), len(got), text)
 			}
-			if !sqlcheck.SameRows(got, want.Rows) {
+			if !sqlcheck.SameRows(sqlcheck.Canon(got), sqlcheck.Canon(want.Rows)) {
 				t.Errorf("%s: streamed rows differ from materialized (%d vs %d rows)\n%s",
 					engine, len(got), len(want.Rows), text)
 				continue
 			}
-			if strings.Contains(text, "ORDER BY") && !equalRows(got, want.Rows) {
+			if strings.Contains(strings.ToUpper(text), "ORDER BY") && !sqlcheck.SameRows(got, want.Rows) {
 				t.Errorf("%s: ORDER BY stream reordered rows\n%s", engine, text)
 			}
 		}
 	}
-}
-
-// equalRows compares two row sets positionally.
-func equalRows(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
