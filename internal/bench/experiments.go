@@ -32,11 +32,6 @@ type Config struct {
 	Reps    int     // timing repetitions (best-of)
 }
 
-// DefaultConfig scales the paper's setup to a laptop-class machine.
-func DefaultConfig() Config {
-	return Config{SF: 1, SSBSF: 1, Threads: 0, Reps: 3}
-}
-
 // timeQuery measures the best-of-reps wall clock of one query run.
 func timeQuery(reps int, f func()) time.Duration {
 	if reps < 1 {

@@ -20,8 +20,8 @@ const (
 	// aggregation (matches internal/typer).
 	aggPartitions = 64
 	// preAggCapacity bounds each worker's pre-aggregation hash table so
-	// it stays cache resident; overflowing groups spill as single-tuple
-	// partials (matches internal/typer).
+	// it stays cache resident; a full table is flushed to the spill
+	// partitions and cleared (matches internal/typer).
 	preAggCapacity = 1 << 14
 )
 
@@ -198,10 +198,12 @@ func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *lo
 			col.SetPipeEngine(i, "t")
 		}
 	}
-	for _, p := range pr.pipes {
+	tables := make([]*hashtable.Table, len(pr.pipes))
+	for i, p := range pr.pipes {
 		p.disp = exec.NewDispatcherCtx(ctx, p.scan.Table.Rows(), 0)
 		if p.keyCol != nil {
 			p.ht = hashtable.New(1+len(p.pays), w)
+			tables[i] = p.ht
 		}
 	}
 
@@ -212,23 +214,26 @@ func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *lo
 	var (
 		spill      *hashtable.Spill
 		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
+		tail       *logical.GroupTail
 		workerRows [][][]int64
 		partials   []logical.GlobalPartial
+		streamBufs []*logical.StreamBuf
 	)
 	switch {
 	case keyed:
-		htOps = make([]hashtable.AggOp, len(agg.Aggs))
-		for i, s := range agg.Aggs {
-			htOps[i] = s.Op.HTOp()
-		}
-		spill = hashtable.NewSpill(w, aggPartitions, 2+len(htOps))
+		tail = pl.NewGroupTail(w, tables, hashtable.Mix64, stream, chunk, part)
+		spill = hashtable.NewSpill(w, aggPartitions, 2+len(tail.Ops()))
 		partDisp = exec.NewDispatcherCtx(ctx, aggPartitions, 1)
-		workerRows = make([][][]int64, w)
 	case global:
 		partials = make([]logical.GlobalPartial, w)
 	default:
 		workerRows = make([][][]int64, w)
+		if stream != nil {
+			streamBufs = make([]*logical.StreamBuf, w)
+			for i := range streamBufs {
+				streamBufs[i] = stream.NewBuf(chunk)
+			}
+		}
 	}
 
 	// Sink expressions compile once, on this goroutine, so unsupported
@@ -242,14 +247,14 @@ func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *lo
 	)
 	switch {
 	case keyed:
-		if specs, err = final.compileAggs(agg); err != nil {
+		if specs, err = final.compileAggs(agg, pl.PreAggSlots()); err != nil {
 			return nil, err
 		}
 		if keyGet, err = final.groupKeyGet(agg); err != nil {
 			return nil, err
 		}
 	case global:
-		if specs, err = final.compileAggs(agg); err != nil {
+		if specs, err = final.compileAggs(agg, pl.PreAggSlots()); err != nil {
 			return nil, err
 		}
 	default:
@@ -258,14 +263,6 @@ func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *lo
 			if items[j], err = final.scalar(e); err != nil {
 				return nil, err
 			}
-		}
-	}
-
-	var streamBufs []*logical.StreamBuf
-	if stream != nil {
-		streamBufs = make([]*logical.StreamBuf, w)
-		for i := range streamBufs {
-			streamBufs[i] = stream.NewBuf(chunk)
 		}
 	}
 
@@ -306,25 +303,12 @@ func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *lo
 			}
 			bar.Wait(nil)
 			// Phase two: per-partition merge of partial aggregates.
-			// Output rows subslice a per-partition arena (one
-			// allocation per partition instead of one per group).
-			width := agg.MergedWidth()
 			for {
 				pm, ok := partDisp.Next()
 				if !ok {
 					break
 				}
-				arena := make([]int64, spill.PartitionCount(pm.Begin)*width)
-				hashtable.MergeSpill(spill, pm.Begin, htOps, func(row []uint64) {
-					out := arena[:width:width]
-					arena = arena[width:]
-					agg.DecodeMergedRow(row, out)
-					if stream != nil {
-						streamBufs[wid].Add(pl.ItemRow(out))
-						return
-					}
-					workerRows[wid] = append(workerRows[wid], out)
-				})
+				tail.Merge(wid, spill, pm.Begin)
 			}
 		case global:
 			partials[wid] = final.runGlobal(wid, specs)
@@ -358,41 +342,10 @@ func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *lo
 		}
 	}
 
-	if stream != nil {
-		for _, b := range streamBufs {
-			b.Flush()
-		}
-		return nil, nil
+	if keyed {
+		return tail.Finish()
 	}
-
-	if part != nil {
-		// Partial mode: hand the pre-finalization state to the exchange
-		// merge instead of running the HAVING/sort/limit tail here.
-		switch {
-		case keyed:
-			for _, wr := range workerRows {
-				part.Groups = append(part.Groups, wr...)
-			}
-		case global:
-			part.Globals = partials
-		default:
-			for _, wr := range workerRows {
-				part.Rows = append(part.Rows, wr...)
-			}
-		}
-		return nil, nil
-	}
-
-	var rows [][]int64
-	switch {
-	case global:
-		rows = [][]int64{logical.MergeGlobal(agg, partials)}
-	default:
-		for _, wr := range workerRows {
-			rows = append(rows, wr...)
-		}
-	}
-	return pl.FinalizeRows(rows)
+	return pl.FinishUngrouped(partials, workerRows, streamBufs, part)
 }
 
 // run drives the pipeline's fused tuple-at-a-time loop. The loop body
@@ -766,10 +719,13 @@ type groupSpec struct {
 	val scalarFn // nil for COUNT
 }
 
-// compileAggs compiles the aggregate slots' input expressions.
-func (p *pipe) compileAggs(agg *logical.Aggregate) ([]groupSpec, error) {
-	specs := make([]groupSpec, len(agg.Aggs))
-	for j, s := range agg.Aggs {
+// compileAggs compiles the input expressions of the given aggregate
+// slots (a plan's PreAggSlots: every slot but those a deferred join
+// fills after the aggregation).
+func (p *pipe) compileAggs(agg *logical.Aggregate, slots []int) ([]groupSpec, error) {
+	specs := make([]groupSpec, len(slots))
+	for j, slot := range slots {
+		s := agg.Aggs[slot]
 		specs[j].op = s.Op
 		if s.Op != logical.OpCount {
 			v, err := p.scalar(s.Arg)
@@ -803,8 +759,9 @@ func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
 }
 
 // runGrouped is phase one of the keyed aggregation: fused scan/probe
-// loop feeding a cache-resident pre-aggregation table, overflow and
-// final flush spilling partition-partial rows [hash, key, aggs...].
+// loop feeding a cache-resident pre-aggregation table that is flushed
+// to the spill partitions as partition-partial rows [hash, key,
+// aggs...] whenever it is full and once at the end.
 // A non-nil nOut (telemetry-instrumented executions) counts the rows
 // reaching the sink in a worker-local counter; nil leaves the fused
 // loop untouched.
@@ -812,6 +769,18 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 	local := hashtable.New(1+len(specs), 1)
 	local.Prepare(preAggCapacity)
 	lsh := local.Shard(0)
+	flush := func() {
+		local.ForEach(func(ref hashtable.Ref) {
+			h := local.Hash(ref)
+			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+			row[0] = h
+			row[1] = local.Word(ref, 0)
+			for j := range specs {
+				row[2+j] = local.Word(ref, 1+j)
+			}
+		})
+		local.Clear()
+	}
 
 	body := func(i int, fr []int64) {
 		k := keyGet(i, fr)
@@ -840,22 +809,16 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 			}
 			return
 		}
-		if local.Rows() < preAggCapacity {
-			ref, _ := lsh.Alloc(local, h)
-			row := local.Row(ref)
-			row[0] = k
-			for j := range specs {
-				row[1+j] = initWord(&specs[j], i, fr)
-			}
-			local.Insert(ref, h)
-		} else {
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-			row[0] = h
-			row[1] = k
-			for j := range specs {
-				row[2+j] = initWord(&specs[j], i, fr)
-			}
+		if local.Rows() >= preAggCapacity {
+			flush()
 		}
+		ref, _ := lsh.Alloc(local, h)
+		row := local.Row(ref)
+		row[0] = k
+		for j := range specs {
+			row[1+j] = initWord(&specs[j], i, fr)
+		}
+		local.Insert(ref, h)
 	}
 	if nOut != nil {
 		inner := body
@@ -865,16 +828,7 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 		}
 	}
 	p.run(body)
-
-	local.ForEach(func(ref hashtable.Ref) {
-		h := local.Hash(ref)
-		row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-		row[0] = h
-		row[1] = local.Word(ref, 0)
-		for j := range specs {
-			row[2+j] = local.Word(ref, 1+j)
-		}
-	})
+	flush()
 }
 
 // initWord is a new group's first partial value for one slot.

@@ -20,7 +20,6 @@ import (
 // execution under an external driver.
 type Program struct {
 	pr     *prog
-	agg    *logical.Aggregate
 	specs  []groupSpec
 	keyGet u64Fn
 	items  []scalarFn
@@ -39,18 +38,18 @@ func LowerProgram(pl *logical.Plan) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{pr: pr, agg: pl.Agg}
+	p := &Program{pr: pr}
 	final := pr.final
 	switch {
 	case pl.Agg != nil && len(pl.Agg.Keys) > 0:
-		if p.specs, err = final.compileAggs(pl.Agg); err != nil {
+		if p.specs, err = final.compileAggs(pl.Agg, pl.PreAggSlots()); err != nil {
 			return nil, err
 		}
 		if p.keyGet, err = final.groupKeyGet(pl.Agg); err != nil {
 			return nil, err
 		}
 	case pl.Agg != nil:
-		if p.specs, err = final.compileAggs(pl.Agg); err != nil {
+		if p.specs, err = final.compileAggs(pl.Agg, pl.PreAggSlots()); err != nil {
 			return nil, err
 		}
 	default:
@@ -107,7 +106,8 @@ func (p *Program) RunBuild(i, wid int) { p.pr.pipes[i].runBuild(wid) }
 
 // RunGrouped runs the final pipeline's phase-one keyed aggregation for
 // one worker, spilling partial groups into the shared spill (row layout
-// [hash, key, aggs...], identical to the vectorized sink's). A non-nil
+// [hash, key, aggs of the plan's PreAggSlots...], identical to the
+// vectorized sink's). A non-nil
 // nOut counts the rows reaching the sink (telemetry-instrumented
 // executions only).
 func (p *Program) RunGrouped(wid int, spill *hashtable.Spill, nOut *int64) {

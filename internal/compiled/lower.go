@@ -82,6 +82,10 @@ type pipe struct {
 
 	rejectAll bool
 
+	// Deferred joins (final pipeline only): their builds run, their
+	// probes do not (logical.Join.Deferred); kept for Explain.
+	deferred []*step
+
 	// Build-side output: hash-table key column (a base column of the
 	// spine) plus payload columns in word order (word 1+i). Nil keyCol
 	// marks the final pipeline.
@@ -110,22 +114,7 @@ type prog struct {
 // lower compiles the optimized logical plan into fused pipelines.
 func lower(pl *logical.Plan) (*prog, error) {
 	pr := &prog{pl: pl}
-	needed := map[*catalog.Column]bool{}
-	mark := func(c *catalog.Column) { needed[c] = true }
-	if pl.Agg != nil {
-		for _, k := range pl.Agg.Keys {
-			needed[k] = true
-		}
-		for _, s := range pl.Agg.Aggs {
-			if s.Arg != nil {
-				sql.WalkCols(s.Arg, mark)
-			}
-		}
-	}
-	for _, e := range pl.Proj {
-		sql.WalkCols(e, mark)
-	}
-	final, err := pr.compilePipe(pl.Root, sortedCols(needed))
+	final, err := pr.compilePipe(pl.Root, logical.FinalNeeds(pl))
 	if err != nil {
 		return nil, err
 	}
@@ -171,13 +160,7 @@ func (pr *prog) compilePipe(n logical.Node, needed []*catalog.Column) (*pipe, er
 	reqList := sortedCols(req)
 
 	for _, j := range joins {
-		chainTabs := tablesUnder(j.Build)
-		var pays []*catalog.Column
-		for _, c := range reqList {
-			if chainTabs[c.Table] && c != j.BuildKey {
-				pays = append(pays, c)
-			}
-		}
+		pays := logical.BuildPays(j, reqList)
 		bp, err := pr.compilePipe(j.Build, pays)
 		if err != nil {
 			return nil, err
@@ -189,13 +172,20 @@ func (pr *prog) compilePipe(n logical.Node, needed []*catalog.Column) (*pipe, er
 			bp.paySrc[pi] = bp.resolve(c)
 		}
 		st := &step{join: j, build: bp, probeKey: j.ProbeKey}
+		if j.Deferred {
+			// Built, but probed once per group by the aggregation's
+			// phase two (logical.GroupTail), not per row here.
+			p.deferred = append(p.deferred, st)
+			continue
+		}
+		// Gather every required column of the build chain: its payloads
+		// and, when required, its key (word 0).
 		for _, c := range reqList {
-			if !chainTabs[c.Table] {
-				continue
-			}
-			word := 0
+			word := 0 // the build key
 			if c != j.BuildKey {
-				word = 1 + indexOfCol(pays, c)
+				if word = 1 + indexOfCol(pays, c); word == 0 {
+					continue // not from this build chain
+				}
 			}
 			st.gathers = append(st.gathers, gather{word: word, slot: p.slots, col: c})
 			p.srcOf[c] = valRef{slot: p.slots}
@@ -260,13 +250,14 @@ func (p *pipe) resolve(c *catalog.Column) valRef {
 	return src
 }
 
+// indexOfCol is c's position in cols, or -1.
 func indexOfCol(cols []*catalog.Column, c *catalog.Column) int {
 	for i, x := range cols {
 		if x == c {
 			return i
 		}
 	}
-	panic("compiled: column missing from payload list")
+	return -1
 }
 
 // sortedCols renders a column set deterministic (same order as the
@@ -282,22 +273,6 @@ func sortedCols(set map[*catalog.Column]bool) []*catalog.Column {
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out
-}
-
-func tablesUnder(n logical.Node) map[*catalog.Table]bool {
-	out := map[*catalog.Table]bool{}
-	var walk func(logical.Node)
-	walk = func(n logical.Node) {
-		switch x := n.(type) {
-		case *logical.Scan:
-			out[x.Table] = true
-		case *logical.Join:
-			walk(x.Build)
-			walk(x.Probe)
-		}
-	}
-	walk(n)
 	return out
 }
 
@@ -362,9 +337,13 @@ func Explain(pl *logical.Plan) (string, error) {
 			for i, c := range pl.Agg.Keys {
 				names[i] = c.Name
 			}
-			fmt.Fprintf(&sb, " → groupby keys=[%s] aggs=[%s]", strings.Join(names, " "), aggList(pl.Agg))
+			fmt.Fprintf(&sb, " → groupby keys=[%s] aggs=[%s]", strings.Join(names, " "), aggList(pl.Agg, pl.PreAggSlots()))
+			for _, st := range p.deferred {
+				fmt.Fprintf(&sb, " → per-group probe[P%d %s = %s] fill[%s]",
+					st.build.ord, st.probeKey.Name, st.build.keyCol.Name, strings.Join(firstFills(pl.Agg, st.build), " "))
+			}
 		case pl.Agg != nil:
-			fmt.Fprintf(&sb, " → aggregate [%s]", aggList(pl.Agg))
+			fmt.Fprintf(&sb, " → aggregate [%s]", aggList(pl.Agg, pl.PreAggSlots()))
 		default:
 			items := make([]string, len(pl.Proj))
 			for i, e := range pl.Proj {
@@ -386,9 +365,10 @@ func Explain(pl *logical.Plan) (string, error) {
 	return sb.String(), nil
 }
 
-func aggList(agg *logical.Aggregate) string {
-	parts := make([]string, len(agg.Aggs))
-	for i, a := range agg.Aggs {
+func aggList(agg *logical.Aggregate, slots []int) string {
+	parts := make([]string, len(slots))
+	for i, s := range slots {
+		a := agg.Aggs[s]
 		if a.Arg == nil {
 			parts[i] = fmt.Sprintf("%s(*)", a.Op)
 		} else {
@@ -396,4 +376,17 @@ func aggList(agg *logical.Aggregate) string {
 		}
 	}
 	return strings.Join(parts, ", ")
+}
+
+// firstFills names the first-value slots a deferred join's build row
+// fills: the demoted group columns it carries as key or payload.
+func firstFills(agg *logical.Aggregate, bp *pipe) []string {
+	var names []string
+	for _, a := range agg.Aggs {
+		ref, ok := a.Arg.(*sql.ColRef)
+		if a.Op == logical.OpFirst && ok && (ref.Col == bp.keyCol || indexOfCol(bp.pays, ref.Col) >= 0) {
+			names = append(names, ref.Col.Name)
+		}
+	}
+	return names
 }

@@ -129,7 +129,17 @@ func (s *Shard) AllocN(t *Table, n int) Ref {
 	if off > refOffsetMask-uint64(need) {
 		panic("hashtable: shard arena overflow")
 	}
-	s.words = append(s.words, make([]uint64, need)...)
+	// Grow by doubling, like Alloc: append's growth of large slices is
+	// about 1.25×, which re-copies a big build side many times over.
+	end := int(off) + need
+	if end > cap(s.words) {
+		grown := make([]uint64, end, 2*end)
+		copy(grown, s.words)
+		s.words = grown
+	} else {
+		s.words = s.words[:end]
+		clear(s.words[off:])
+	}
 	s.rows += n
 	return makeRef(s.id, off)
 }
@@ -318,6 +328,18 @@ func (t *Table) Reset() {
 	}
 	t.dir = nil
 	t.mask = 0
+}
+
+// Clear drops all rows but keeps both the directory (zeroed in place,
+// same size) and the shard capacity, so a thread-local pre-aggregation
+// table can flush to the spill partitions and refill without
+// reallocating anything.
+func (t *Table) Clear() {
+	for _, s := range t.shards {
+		s.words = s.words[:1]
+		s.rows = 0
+	}
+	clear(t.dir)
 }
 
 // MemoryFootprint reports directory + arena bytes, used by the working-set

@@ -219,6 +219,36 @@ func TestReset(t *testing.T) {
 	}
 }
 
+func TestClear(t *testing.T) {
+	ht := New(2, 1)
+	ht.Prepare(16)
+	for k := uint64(0); k < 16; k++ {
+		ref, _ := ht.Shard(0).Alloc(ht, Murmur2(k))
+		ht.SetWord(ref, 0, k)
+		ht.Insert(ref, Murmur2(k))
+	}
+	dir, words := ht.DirSize(), cap(ht.Shard(0).words)
+	ht.Clear()
+	if ht.Rows() != 0 {
+		t.Fatalf("Rows after Clear = %d, want 0", ht.Rows())
+	}
+	if ht.DirSize() != dir || cap(ht.Shard(0).words) != words {
+		t.Fatal("Clear must keep the directory size and the shard capacity")
+	}
+	for k := uint64(0); k < 16; k++ {
+		if _, ok := lookupKV(ht, Murmur2, k); ok {
+			t.Fatalf("stale key %d visible after Clear", k)
+		}
+	}
+	ref, _ := ht.Shard(0).Alloc(ht, Murmur2(3))
+	ht.SetWord(ref, 0, 3)
+	ht.SetWord(ref, 1, 30)
+	ht.Insert(ref, Murmur2(3))
+	if v, ok := lookupKV(ht, Murmur2, 3); !ok || v != 30 {
+		t.Fatal("table unusable after Clear")
+	}
+}
+
 func TestAllocN(t *testing.T) {
 	ht := New(2, 1)
 	sh := ht.Shard(0)

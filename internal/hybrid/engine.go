@@ -219,20 +219,6 @@ func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, s
 	return logical.StreamChunks(ctx, logical.NewStreamer(sink, cancel), res.Rows, chunk)
 }
 
-// ExecuteArgsStream is ExecuteStream for parameterized plans.
-func ExecuteArgsStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, args []int64, sink logical.RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return err
-	}
-	return ExecuteStream(ctx, bound, nWorkers, chunk, sink)
-}
-
 // ExecuteStreamRouted is ExecuteStream with an explicit Router and
 // vector size: the execution materializes through ExecuteRouted — so
 // the router is fed and the Report (assignment decoration) comes back
@@ -352,19 +338,17 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 	var (
 		spill      *hashtable.Spill
 		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
+		tail       *logical.GroupTail
 		workerRows [][][]int64
 		partials   []logical.GlobalPartial
 	)
 	switch {
 	case keyed:
-		htOps = make([]hashtable.AggOp, len(agg.Aggs))
-		for i, s := range agg.Aggs {
-			htOps[i] = s.Op.HTOp()
-		}
-		spill = hashtable.NewSpill(w, tw.AggPartitions, 2+len(htOps))
+		// Deferred joins' tables were built by either engine with the
+		// standardized join hash, Mix64 (JoinHash is its unrolled form).
+		tail = pl.NewGroupTail(w, hts, hashtable.Mix64, nil, 0, nil)
+		spill = hashtable.NewSpill(w, tw.AggPartitions, 2+len(tail.Ops()))
 		partDisp = exec.NewDispatcherCtx(ctx, tw.AggPartitions, 1)
-		workerRows = make([][][]int64, w)
 	case global:
 		partials = make([]logical.GlobalPartial, w)
 	default:
@@ -457,7 +441,7 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 				cp.RunGrouped(wid, spill, nOut)
 				bar.Wait(nil)
 			} else {
-				sink := drain(fi, func() plan.Sink { return vecWorker().GroupBySink(wid, spill, htOps) })
+				sink := drain(fi, func() plan.Sink { return vecWorker().GroupBySink(wid, spill, tail.Ops()) })
 				sink.Finish(bar, wid)
 			}
 			// Phase two: partition merge, engine-agnostic.
@@ -466,11 +450,7 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 				if !ok {
 					break
 				}
-				hashtable.MergeSpill(spill, pm.Begin, htOps, func(row []uint64) {
-					out := make([]int64, agg.MergedWidth())
-					agg.DecodeMergedRow(row, out)
-					workerRows[wid] = append(workerRows[wid], out)
-				})
+				tail.Merge(wid, spill, pm.Begin)
 			}
 		case global:
 			if assign[fi] == EngineCompiled {
@@ -495,16 +475,11 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 		nanos[fi][wid] = time.Since(start).Nanoseconds()
 	})
 
-	var rows [][]int64
-	switch {
-	case global:
-		rows = [][]int64{logical.MergeGlobal(agg, partials)}
-	default:
-		for _, wr := range workerRows {
-			rows = append(rows, wr...)
-		}
+	if keyed {
+		res, err = tail.Finish()
+	} else {
+		res, err = pl.FinishUngrouped(partials, workerRows, nil, nil)
 	}
-	res, err = pl.FinalizeRows(rows)
 	if err != nil {
 		return nil, nil, err
 	}

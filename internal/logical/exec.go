@@ -49,10 +49,12 @@ func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *S
 			col.SetVec(i, e.Vec)
 		}
 	}
-	for _, ps := range prog.pipes {
+	tables := make([]*hashtable.Table, len(prog.pipes))
+	for i, ps := range prog.pipes {
 		ps.disp = e.ScanDisp(ps.scan.Table.Rel)
 		if ps.keyCol != nil {
 			ps.ht = hashtable.New(1+len(ps.pays), e.Workers)
+			tables[i] = ps.ht
 		}
 	}
 
@@ -63,30 +65,26 @@ func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *S
 	var (
 		spill      *hashtable.Spill
 		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
+		tail       *GroupTail
 		workerRows [][][]int64
 		partials   []GlobalPartial
 		streamBufs []*StreamBuf
 	)
-	if stream != nil {
-		streamBufs = make([]*StreamBuf, e.Workers)
-		for i := range streamBufs {
-			streamBufs[i] = stream.NewBuf(chunk)
-		}
-	}
 	switch {
 	case keyed:
-		htOps = make([]hashtable.AggOp, len(agg.Aggs))
-		for i, s := range agg.Aggs {
-			htOps[i] = s.Op.HTOp()
-		}
-		spill = hashtable.NewSpill(e.Workers, tw.AggPartitions, 2+len(htOps))
+		tail = pl.NewGroupTail(e.Workers, tables, tw.Hash, stream, chunk, part)
+		spill = hashtable.NewSpill(e.Workers, tw.AggPartitions, 2+len(tail.Ops()))
 		partDisp = e.PartDisp(tw.AggPartitions)
-		workerRows = make([][][]int64, e.Workers)
 	case global:
 		partials = make([]GlobalPartial, e.Workers)
 	default:
 		workerRows = make([][][]int64, e.Workers)
+		if stream != nil {
+			streamBufs = make([]*StreamBuf, e.Workers)
+			for i := range streamBufs {
+				streamBufs[i] = stream.NewBuf(chunk)
+			}
+		}
 	}
 
 	// observed wraps a stage's sink with worker-local row/batch counters
@@ -129,24 +127,19 @@ func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *S
 		root := w.pipeOps(final, e)
 		switch {
 		case keyed:
-			key := w.groupKey(final, agg)
-			vals := make([]plan.VecI64, len(agg.Aggs))
-			for i, s := range agg.Aggs {
-				vals[i] = w.aggInput(final, s)
-			}
 			stages = append(stages, observed(plan.Stage{
 				Root: root,
-				Sink: plan.NewGroupBy(bufs, spill, wid, htOps, key, vals...),
+				Sink: w.groupBySink(prog, tail.Ops(), spill, wid),
 			}, fi))
-			stages = append(stages, plan.MergeStage(partDisp, spill, htOps, func(wid int, row []uint64) {
-				out := make([]int64, agg.MergedWidth())
-				agg.DecodeMergedRow(row, out)
-				if stream != nil {
-					streamBufs[wid].Add(pl.itemRow(out))
-					return
+			stages = append(stages, plan.Stage{Run: func(wid int) {
+				for {
+					pm, ok := partDisp.Next()
+					if !ok {
+						return
+					}
+					tail.Merge(wid, spill, pm.Begin)
 				}
-				workerRows[wid] = append(workerRows[wid], out)
-			}))
+			}})
 		case global:
 			sink := newGlobalAggSink(w, final, agg, &partials[wid])
 			stages = append(stages, observed(plan.Stage{Root: root, Sink: sink}, fi))
@@ -174,43 +167,39 @@ func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *S
 		}
 	}
 
-	if stream != nil {
+	if keyed {
+		return tail.Finish()
+	}
+	return pl.FinishUngrouped(partials, workerRows, streamBufs, part)
+}
+
+// FinishUngrouped is the shared end of a global or projection query
+// once every worker is done — the ungrouped counterpart of
+// GroupTail.Finish, used by every driver: flush the stream buffers, or
+// hand the per-worker state to the partial, or merge and finalize.
+func (pl *Plan) FinishUngrouped(partials []GlobalPartial, workerRows [][][]int64, streamBufs []*StreamBuf, part *Partial) (*Result, error) {
+	if streamBufs != nil {
 		for _, b := range streamBufs {
 			b.Flush()
 		}
 		return nil, nil
 	}
-
 	if part != nil {
 		// Partial mode: hand the pre-finalization state to the exchange
 		// merge instead of running the HAVING/sort/limit tail here.
-		switch {
-		case keyed:
-			for _, wr := range workerRows {
-				part.Groups = append(part.Groups, wr...)
-			}
-		case global:
-			part.Globals = partials
-		default:
-			for _, wr := range workerRows {
-				part.Rows = append(part.Rows, wr...)
-			}
+		part.Globals = partials
+		for _, wr := range workerRows {
+			part.Rows = append(part.Rows, wr...)
 		}
 		return nil, nil
 	}
-
-	// Merge phase: assemble output rows in slot layout [keys..., aggs...]
-	// (grouped/global) or item layout (projection).
-	var rows [][]int64
-	switch {
-	case global:
-		rows = [][]int64{MergeGlobal(agg, partials)}
-	default:
-		for _, wr := range workerRows {
-			rows = append(rows, wr...)
-		}
+	if pl.Agg != nil {
+		return pl.FinalizeRows([][]int64{MergeGlobal(pl.Agg, partials)})
 	}
-
+	var rows [][]int64
+	for _, wr := range workerRows {
+		rows = append(rows, wr...)
+	}
 	return pl.FinalizeRows(rows)
 }
 
@@ -235,12 +224,11 @@ func (pl *Plan) ExecuteArgs(ctx context.Context, workers, vecSize int, args []in
 // FinalizeRows turns merged rows — slot layout [keys..., aggs...] for
 // grouped/global queries, item layout for projections — into the final
 // Result: HAVING filtering, ORDER BY, LIMIT, and the item-slot mapping.
-// It is the shared tail of both lowering backends (the vectorized path
-// above and internal/compiled's fused path), so HAVING/sort/limit
-// semantics cannot drift between the engines.
+// It is the shared tail of every driver's global and projection queries
+// and of the exchange merge (MergePartials), so HAVING/sort/limit
+// semantics cannot drift between the engines; keyed queries evaluate
+// HAVING per group in GroupTail, which then shares finishRows.
 func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
-	agg := pl.Agg
-
 	if pl.Having != nil {
 		kept := rows[:0]
 		for _, r := range rows {
@@ -254,7 +242,13 @@ func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
 		}
 		rows = kept
 	}
+	return pl.finishRows(rows), nil
+}
 
+// finishRows is FinalizeRows after HAVING: ORDER BY, LIMIT, and the
+// item-slot mapping.
+func (pl *Plan) finishRows(rows [][]int64) *Result {
+	agg := pl.Agg
 	if len(pl.Sort) > 0 {
 		// A concrete sorter: sort.SliceStable's reflect-based swapper
 		// costs real time on large group counts (Q3/Q18 shapes).
@@ -272,7 +266,7 @@ func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
 	} else {
 		res.Rows = rows
 	}
-	return res, nil
+	return res
 }
 
 // itemRow maps one merged slot-layout row [keys..., aggs...] to the
@@ -295,9 +289,6 @@ func (pl *Plan) itemRow(r []int64) []int64 {
 	}
 	return out
 }
-
-// ItemRow is itemRow for the compiled backend's streaming flush.
-func (pl *Plan) ItemRow(r []int64) []int64 { return pl.itemRow(r) }
 
 // rowSorter orders merged rows by the plan's ORDER BY keys (stable, so
 // input order breaks ties deterministically per backend).
@@ -334,22 +325,6 @@ func (op AggOp) HTOp() hashtable.AggOp {
 		return hashtable.OpMax
 	}
 	return hashtable.OpFirst
-}
-
-// MergedWidth is the slot-layout width of a merged group row:
-// [keys..., aggs...].
-func (agg *Aggregate) MergedWidth() int { return len(agg.Keys) + len(agg.Aggs) }
-
-// DecodeMergedRow fills out (slot layout [keys..., aggs...], length
-// MergedWidth) from one merged spill row [hash, key, aggs...] — the one
-// decode both lowering backends use for aggregation phase two, so the
-// row layout cannot drift between engines.
-func (agg *Aggregate) DecodeMergedRow(row []uint64, out []int64) {
-	DecodeGroupKey(agg.Keys, row[1], out)
-	nk := len(agg.Keys)
-	for j := range agg.Aggs {
-		out[nk+j] = int64(row[2+j])
-	}
 }
 
 // DecodeGroupKey unpacks the group-key word into the first len(keys)
@@ -584,6 +559,18 @@ func (w *worker) groupKey(ps *pipeSpec, agg *Aggregate) plan.VecU64 {
 		tw.MapPackU64LoHi(lo(b), hi(b), b.K, scratch)
 		return scratch
 	}
+}
+
+// groupBySink creates the final pipeline's phase-one sink: the group
+// key plus one input per phase-one aggregate slot (ops are their merge
+// operators), spilling into the shared spill.
+func (w *worker) groupBySink(prog *program, ops []hashtable.AggOp, spill *hashtable.Spill, wid int) *plan.GroupBySink {
+	final, agg := prog.final, prog.pl.Agg
+	vals := make([]plan.VecI64, len(prog.pre))
+	for i, s := range prog.pre {
+		vals[i] = w.aggInput(final, agg.Aggs[s])
+	}
+	return plan.NewGroupBy(w.bufs, spill, wid, ops, w.groupKey(final, agg), vals...)
 }
 
 // aggInput compiles one aggregate slot's input vector.

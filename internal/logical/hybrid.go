@@ -103,16 +103,10 @@ func (vw *VecWorker) BuildSink(i, wid int) *plan.HashBuildSink {
 }
 
 // GroupBySink creates the final pipeline's keyed-aggregation sink
-// (phase one) for worker wid, spilling into the driver-owned spill.
+// (phase one: the plan's PreAggSlots, merged with htOps) for worker
+// wid, spilling into the driver-owned spill.
 func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashtable.AggOp) *plan.GroupBySink {
-	final := vw.p.prog.final
-	agg := vw.p.pl.Agg
-	key := vw.w.groupKey(final, agg)
-	vals := make([]plan.VecI64, len(agg.Aggs))
-	for j, s := range agg.Aggs {
-		vals[j] = vw.w.aggInput(final, s)
-	}
-	return plan.NewGroupBy(vw.w.bufs, spill, wid, htOps, key, vals...)
+	return vw.w.groupBySink(vw.p.prog, htOps, spill, wid)
 }
 
 // GlobalSink creates the final pipeline's ungrouped-aggregation sink;

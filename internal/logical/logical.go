@@ -2,8 +2,10 @@
 // extension beyond the paper's fixed query catalog. It turns a bound
 // SELECT (internal/sql) into a logical plan, applies rule-based
 // rewrites — constant folding, predicate pushdown to scans, projection
-// pruning, and a cardinality-heuristic join-order pick that builds hash
-// tables on the smaller, key-unique dimension side — and lowers the
+// pruning, a cardinality-heuristic join-order pick that builds hash
+// tables on the smaller, key-unique dimension side, and eager
+// aggregation, which probes a non-filtering N:1 join once per group
+// after the aggregation instead of once per row — and lowers the
 // optimized plan onto the existing vectorized operator layer
 // (internal/plan): scans become morsel Scans with FilterChain cascades,
 // equi-joins become HashBuild/HashProbe pairs with payload gathers,
@@ -46,10 +48,18 @@ type Scan struct {
 // Probe's spine table). Residuals are equality predicates between
 // columns that first become comparable after this probe (cross-chain
 // equalities the join order could not use as hash keys).
+//
+// Deferred marks a join of the final pipeline that the eager-
+// aggregation rewrite moved past the aggregation: its hash table is
+// still built, but the final pipeline does not probe it. Instead the
+// aggregation's phase two (GroupTail) looks each merged group up once,
+// drops groups without a match, and fills the first-value slots the
+// join's columns feed.
 type Join struct {
 	Build, Probe       Node
 	BuildKey, ProbeKey *catalog.Column
 	Residuals          [][2]*catalog.Column
+	Deferred           bool
 }
 
 func (*Scan) node() {}
@@ -265,6 +275,9 @@ func formatNode(sb *strings.Builder, n Node, depth int) {
 		fmt.Fprintf(sb, "%shashjoin %s = %s", ind, x.ProbeKey.Name, x.BuildKey.Name)
 		for _, r := range x.Residuals {
 			fmt.Fprintf(sb, " residual(%s = %s)", r[0].Name, r[1].Name)
+		}
+		if x.Deferred {
+			sb.WriteString(" deferred(probed once per group after aggregation)")
 		}
 		sb.WriteByte('\n')
 		fmt.Fprintf(sb, "%s  build:\n", ind)

@@ -65,32 +65,61 @@ type program struct {
 	pl    *Plan
 	pipes []*pipeSpec // dependency order: build pipelines before their prober; final last
 	final *pipeSpec
+	pre   []int // keyed plans: the aggregate slots phase one computes
 }
 
 // lower compiles the plan's node tree into pipeline specs.
 func lower(pl *Plan) (*program, error) {
 	prog := &program{pl: pl}
+	final, err := compilePipe(pl.Root, FinalNeeds(pl), prog)
+	if err != nil {
+		return nil, err
+	}
+	final.rejectAll = pl.AlwaysFalse
+	prog.final = final
+	if pl.Agg != nil && len(pl.Agg.Keys) > 0 {
+		prog.pre = pl.PreAggSlots()
+	}
+	return prog, nil
+}
+
+// FinalNeeds lists, in the deterministic lowering order, the columns
+// the final pipeline's consumer reads: the group keys and every
+// aggregate input (first-value slots filled by a deferred join
+// included — that join's build still carries them as payloads), or the
+// projected columns. Both lowering backends start from it, so their
+// payload layouts agree word for word.
+func FinalNeeds(pl *Plan) []*catalog.Column {
 	needed := map[*catalog.Column]bool{}
+	mark := func(c *catalog.Column) { needed[c] = true }
 	if pl.Agg != nil {
 		for _, k := range pl.Agg.Keys {
 			needed[k] = true
 		}
 		for _, s := range pl.Agg.Aggs {
 			if s.Arg != nil {
-				sql.WalkCols(s.Arg, func(c *catalog.Column) { needed[c] = true })
+				sql.WalkCols(s.Arg, mark)
 			}
 		}
 	}
 	for _, e := range pl.Proj {
-		sql.WalkCols(e, func(c *catalog.Column) { needed[c] = true })
+		sql.WalkCols(e, mark)
 	}
-	final, err := compilePipe(pl.Root, sortedCols(needed), prog)
-	if err != nil {
-		return nil, err
+	return sortedCols(needed)
+}
+
+// BuildPays lists the payload columns of join j's hash table, in word
+// order (word 1+i): every column of req from j's build chain except the
+// hash key itself, which rides in word 0.
+func BuildPays(j *Join, req []*catalog.Column) []*catalog.Column {
+	chainTabs := tablesUnder(j.Build)
+	var pays []*catalog.Column
+	for _, c := range req {
+		if chainTabs[c.Table] && c != j.BuildKey {
+			pays = append(pays, c)
+		}
 	}
-	final.rejectAll = pl.AlwaysFalse
-	prog.final = final
-	return prog, nil
+	return pays
 }
 
 // sortedCols renders a column set deterministic.
@@ -163,16 +192,8 @@ func compilePipe(n Node, needed []*catalog.Column, prog *program) (*pipeSpec, er
 	}
 	reqList := sortedCols(req)
 
-	for i, j := range joins {
-		chainTabs := tablesUnder(j.Build)
-		// Columns the chain must expose as payloads (its hash key rides
-		// in word 0 and needs no payload slot).
-		var pays []*catalog.Column
-		for _, c := range reqList {
-			if chainTabs[c.Table] && c != j.BuildKey {
-				pays = append(pays, c)
-			}
-		}
+	for _, j := range joins {
+		pays := BuildPays(j, reqList)
 		bp, err := compilePipe(j.Build, pays, prog)
 		if err != nil {
 			return nil, err
@@ -183,8 +204,14 @@ func compilePipe(n Node, needed []*catalog.Column, prog *program) (*pipeSpec, er
 		for pi, c := range pays {
 			bp.paySrc[pi] = bp.resolve(c)
 		}
+		if j.Deferred {
+			// Built, but probed per group by the aggregation's phase
+			// two (GroupTail), not per row here.
+			continue
+		}
 		st := &stepSpec{join: j, build: bp, probeKey: j.ProbeKey}
 		// Gather every required column of this chain at the probe.
+		chainTabs := tablesUnder(j.Build)
 		for _, c := range reqList {
 			if !chainTabs[c.Table] {
 				continue
@@ -194,7 +221,7 @@ func compilePipe(n Node, needed []*catalog.Column, prog *program) (*pipeSpec, er
 				word = 1 + indexOfCol(pays, c)
 			}
 			st.gathers = append(st.gathers, gatherSpec{word: word, col: c})
-			ps.srcOf[c] = colSrc{step: i, word: word}
+			ps.srcOf[c] = colSrc{step: len(ps.steps), word: word}
 		}
 		ps.steps = append(ps.steps, st)
 		// Residuals attached to this join: both operands are available

@@ -106,8 +106,12 @@ func EncodeGroupKey(keys []*catalog.Column, row []int64) uint64 {
 // single-process concatenation.
 func MergeGroupRows(agg *Aggregate, parts []*Partial) [][]int64 {
 	nk := len(agg.Keys)
-	idx := make(map[uint64]int)
-	var out [][]int64
+	total := 0
+	for _, p := range parts {
+		total += len(p.Groups)
+	}
+	idx := make(map[uint64]int, total)
+	out := make([][]int64, 0, total)
 	for _, p := range parts {
 		for _, r := range p.Groups {
 			k := EncodeGroupKey(agg.Keys, r)

@@ -22,8 +22,8 @@ type CardHints interface {
 
 // PlanQuery turns a bound SELECT into an optimized logical plan:
 // constant folding, predicate classification and pushdown, the
-// join-order pick, residual placement, grouping-key reduction, and
-// projection pruning — in that order.
+// join-order pick, residual placement, grouping-key reduction,
+// projection pruning, and eager aggregation — in that order.
 func PlanQuery(sel *sql.Select, cat *catalog.Catalog) (*Plan, error) {
 	return PlanQueryHints(sel, cat, nil)
 }
@@ -104,6 +104,11 @@ func PlanQueryHints(sel *sql.Select, cat *catalog.Catalog, hints CardHints) (*Pl
 	// Rewrite 4: projection pruning — each scan lists only the columns
 	// later operators consume.
 	prune(pl)
+
+	// Rewrite 5: eager aggregation — final-pipeline joins that can
+	// neither drop nor reshape groups probe once per group, after the
+	// aggregation.
+	deferJoins(pl)
 	return pl, nil
 }
 
@@ -973,4 +978,104 @@ func prune(pl *Plan) {
 		}
 	}
 	assign(pl.Root)
+}
+
+// ---------------------------------------------------------------------
+// Eager aggregation
+// ---------------------------------------------------------------------
+
+// deferJoins is the eager-aggregation rewrite (Yan & Larson, VLDB '95),
+// restricted to what needs no new plan node. A join of the final
+// pipeline is deferred past the keyed aggregation when
+//   - its probe key is a kept group key,
+//   - the columns its build chain contributes feed only first-value
+//     slots (no group key, aggregate input, residual or probe key reads
+//     them),
+//   - its build subtree has no filters and no residuals, and
+//   - the aggregation is keyed.
+//
+// Every row of a group carries the same probe key, so all rows of a
+// group match the same build row or none does: one probe per merged
+// group keeps exactly the groups and aggregate values the per-row probe
+// would. The unfiltered-build guard keeps the rewrite from aggregating
+// rows that a selective join would have discarded early.
+func deferJoins(pl *Plan) {
+	agg := pl.Agg
+	if agg == nil || len(agg.Keys) == 0 {
+		return
+	}
+	chain := finalChain(pl.Root)
+	for _, j := range chain {
+		j.Deferred = deferrable(j, chain, agg)
+	}
+}
+
+// finalChain lists the joins the final pipeline probes, innermost
+// (first probed) first.
+func finalChain(root Node) []*Join {
+	var chain []*Join
+	for n := root; ; {
+		j, ok := n.(*Join)
+		if !ok {
+			return chain
+		}
+		chain = append([]*Join{j}, chain...)
+		n = j.Probe
+	}
+}
+
+func deferrable(j *Join, chain []*Join, agg *Aggregate) bool {
+	if indexOfKey(agg.Keys, j.ProbeKey) < 0 || !unfiltered(j.Build) {
+		return false
+	}
+	tabs := tablesUnder(j.Build)
+	for _, k := range agg.Keys {
+		if tabs[k.Table] {
+			return false
+		}
+	}
+	for _, s := range agg.Aggs {
+		// A first-value slot's argument is the bare demoted column.
+		if s.Op != OpFirst && s.Arg != nil && readsAny(s.Arg, tabs) {
+			return false
+		}
+	}
+	for _, o := range chain {
+		if tabs[o.ProbeKey.Table] {
+			return false
+		}
+		for _, r := range o.Residuals {
+			if tabs[r[0].Table] || tabs[r[1].Table] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// unfiltered reports whether no scan under n filters and no join under
+// n has residuals.
+func unfiltered(n Node) bool {
+	switch x := n.(type) {
+	case *Scan:
+		return len(x.Filters) == 0
+	case *Join:
+		return len(x.Residuals) == 0 && unfiltered(x.Build) && unfiltered(x.Probe)
+	}
+	return false
+}
+
+func readsAny(e sql.Expr, tabs map[*catalog.Table]bool) bool {
+	found := false
+	sql.WalkCols(e, func(c *catalog.Column) { found = found || tabs[c.Table] })
+	return found
+}
+
+func indexOfKey(keys []*catalog.Column, c *catalog.Column) int {
+	for i, k := range keys {
+		if k == c {
+			return i
+		}
+	}
+	return -1
 }

@@ -227,6 +227,46 @@ func TestGroupKeyReduction(t *testing.T) {
 	}
 }
 
+// TestEagerAggregation: canonical Q18 defers its unfiltered orders join
+// past the aggregation (l_orderkey is its kept key, the orders chain
+// feeds only first-value slots), so phase one aggregates the lineitem
+// spine alone; Q3, Q5 and SSB Q2.1 probe filtered build sides (or key
+// on gathered columns) and keep their plans.
+func TestEagerAggregation(t *testing.T) {
+	text, _ := SQLText("tpch", "Q18")
+	pl := mustPlan(t, "tpch", text)
+	top, ok := pl.Root.(*Join)
+	if !ok || !top.Deferred || top.ProbeKey.Name != "l_orderkey" {
+		t.Fatalf("Q18: the l_orderkey = o_orderkey join is not deferred:\n%s", pl.Format())
+	}
+	if inner, ok := top.Build.(*Join); !ok || inner.Deferred {
+		t.Errorf("Q18: only a final-pipeline join may be deferred:\n%s", pl.Format())
+	}
+	pre := pl.PreAggSlots()
+	if len(pre) != 1 || pl.Agg.Aggs[pre[0]].Op != OpSum {
+		t.Errorf("Q18 phase-one slots = %v, want only sum(l_quantity)", pre)
+	}
+	if out := pl.Format(); !strings.Contains(out, "hashjoin l_orderkey = o_orderkey deferred(probed once per group after aggregation)") {
+		t.Errorf("Format() does not mark the deferred join:\n%s", out)
+	}
+
+	for _, q := range []struct{ dataset, name string }{{"tpch", "Q3"}, {"tpch", "Q5"}, {"ssb", "Q2.1"}} {
+		text, _ := SQLText(q.dataset, q.name)
+		pl := mustPlan(t, q.dataset, text)
+		for _, j := range finalChain(pl.Root) {
+			if j.Deferred {
+				t.Errorf("%s: join %s = %s deferred:\n%s", q.name, j.ProbeKey.Name, j.BuildKey.Name, pl.Format())
+			}
+		}
+		if out := pl.Format(); strings.Contains(out, "deferred") {
+			t.Errorf("%s: EXPLAIN shows a deferral:\n%s", q.name, out)
+		}
+		if got, want := len(pl.PreAggSlots()), len(pl.Agg.Aggs); got != want {
+			t.Errorf("%s: phase one computes %d of %d aggregate slots", q.name, got, want)
+		}
+	}
+}
+
 // TestFormat pins the EXPLAIN rendering the shape tests and sqlsh rely
 // on.
 func TestFormat(t *testing.T) {

@@ -8,7 +8,9 @@ package logical
 // are total-ordered, exactly like the oracles' comparators. (Q18 is the
 // join + HAVING formulation: equivalent to the nested-IN original
 // because orders ⋈ customer is N:1, so per-order quantity sums are
-// unchanged by the join.)
+// unchanged by the join. The planner's eager-aggregation rewrite
+// defers the orders join past the aggregation, so like the hand plans
+// it sums lineitem by orderkey first and reads orders per group.)
 var sqlTexts = map[string]map[string]string{
 	"tpch": {
 		"Q6": `select sum(l_extendedprice * l_discount) as revenue

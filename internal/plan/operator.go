@@ -174,15 +174,6 @@ func CarryU64(bufs *vector.Buffers, v []uint64) Carry {
 	}
 }
 
-// CarryI64 is CarryU64 for int64 vectors.
-func CarryI64(bufs *vector.Buffers, v []int64) Carry {
-	scratch := bufs.I64()
-	return func(inner []int32) {
-		tw.FetchI64(v, inner, scratch)
-		copy(v[:len(inner)], scratch)
-	}
-}
-
 // HashFn maps packed 64-bit keys to their hash vector. A nil HashFn
 // means the engine default (tw.MapHashU64 over the engine-wide hash
 // function); the hybrid executor overrides it so vectorized stages

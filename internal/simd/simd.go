@@ -11,8 +11,6 @@
 package simd
 
 import (
-	"math/bits"
-
 	"paradigms/internal/hashtable"
 )
 
@@ -219,6 +217,3 @@ func ProbeUnrolled(ht *hashtable.Table, keys []uint64, matches []int32) int {
 	}
 	return nm
 }
-
-// PopcountMask is a helper used by tests to sanity-check SWAR masks.
-func PopcountMask(m uint64) int { return bits.OnesCount64(m) }

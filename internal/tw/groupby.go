@@ -8,12 +8,14 @@ import (
 //
 // Phase one processes each input vector with three primitive passes:
 // find-groups (probe the worker-local pre-aggregation table), handle
-// misses (sequentially insert new groups, spilling single-tuple partials
-// to hash partitions once the table reaches capacity — the paper's
-// "shuffle group-less tuples and add one group per partition" step,
-// realized as an insert-if-absent pass so duplicate keys inside one
-// vector create exactly one group), and update-aggregates (one pass per
-// aggregate column over the found group references).
+// misses (sequentially insert new groups — an insert-if-absent pass, so
+// duplicate keys inside one vector create exactly one group), and
+// update-aggregates (one pass per aggregate column over the found group
+// references). The table is bounded so it stays cache resident: when a
+// vector could overflow it, Consume first flushes every group to the
+// spill partitions and clears the table (flush-on-full, as in the
+// morsel-driven aggregation of Leis et al.), so each spilled row is a
+// pre-aggregate of a run of tuples rather than a single tuple.
 //
 // Phase two — per-partition merge — is hashtable.MergeSpill, identical
 // code for both engines: the paradigm difference under study lives in how
@@ -28,6 +30,8 @@ type GroupBy struct {
 	// Per-vector state (sized by the owner).
 	Refs    []hashtable.Ref // group ref per tuple; 0 = spilled
 	missSel []int32
+
+	flushes int // full-table flushes so far (the final Flush excluded)
 }
 
 // NewGroupBy creates phase-one state for one worker. vecCap is the
@@ -71,10 +75,12 @@ func (g *GroupBy) FindGroups(n int, keys, hashes []uint64) int {
 	return k
 }
 
-// HandleMisses inserts one group per distinct missing key (or spills the
-// tuple's partial once at capacity). vals[j] is the dense input vector of
-// aggregate j, aligned with the keys vector. Spilled tuples keep Refs ==
-// 0 so UpdateAggs skips them.
+// HandleMisses inserts one group per distinct missing key. vals[j] is
+// the dense input vector of aggregate j, aligned with the keys vector.
+// Consume flushes a table that could overflow before the vector starts,
+// so the single-tuple spill below is reached only by a vector longer than
+// the table's capacity; spilled tuples keep Refs == 0 so UpdateAggs skips
+// them.
 func (g *GroupBy) HandleMisses(nMiss int, keys, hashes []uint64, vals [][]int64) {
 	local := g.local
 	for m := 0; m < nMiss; m++ {
@@ -148,8 +154,15 @@ func (g *GroupBy) UpdateAggs(n int, vals [][]int64) {
 	}
 }
 
-// Consume runs the three phase-one passes for one vector.
+// Consume runs the three phase-one passes for one vector. A table that
+// could overflow on this vector is flushed and cleared first — never
+// mid-vector, so the vector's Refs cannot dangle.
 func (g *GroupBy) Consume(n int, keys, hashes []uint64, vals [][]int64) {
+	if g.local.Rows()+n > preAggCapacity {
+		g.Flush()
+		g.local.Clear()
+		g.flushes++
+	}
 	nMiss := g.FindGroups(n, keys, hashes)
 	if nMiss > 0 {
 		g.HandleMisses(nMiss, keys, hashes, vals)
@@ -157,8 +170,9 @@ func (g *GroupBy) Consume(n int, keys, hashes []uint64, vals [][]int64) {
 	g.UpdateAggs(n, vals)
 }
 
-// Flush spills every pre-aggregated group, ending phase one for this
-// worker.
+// Flush spills every pre-aggregated group to the partitions; called by
+// Consume when the table is full, and once more to end phase one for
+// this worker.
 func (g *GroupBy) Flush() {
 	local := g.local
 	nw := len(g.ops)

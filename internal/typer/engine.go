@@ -30,8 +30,8 @@ const (
 	// aggregation (power of two).
 	aggPartitions = 64
 	// preAggCapacity bounds each worker's pre-aggregation hash table so it
-	// stays cache resident; overflowing groups spill as single-tuple
-	// partials.
+	// stays cache resident; a full table is flushed to the spill
+	// partitions and cleared before the next new group is inserted.
 	preAggCapacity = 1 << 14
 )
 

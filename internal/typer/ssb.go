@@ -118,20 +118,18 @@ func (a *localAgg) add(key uint64, delta int64) {
 			}
 		}
 	}
-	if a.ht.Rows() < preAggCapacity {
-		ref, p := a.sh.Alloc(a.ht, h)
-		g := (*ssbGroup)(p)
-		g.key = key
-		g.sum = delta
-		a.ht.Insert(ref, h)
-		return
+	if a.ht.Rows() >= preAggCapacity {
+		a.flush()
 	}
-	row := a.spill.AppendRow(a.wid, hashtable.PartitionOf(h, a.spill.Parts()))
-	row[0] = h
-	row[1] = key
-	row[2] = uint64(delta)
+	ref, p := a.sh.Alloc(a.ht, h)
+	g := (*ssbGroup)(p)
+	g.key = key
+	g.sum = delta
+	a.ht.Insert(ref, h)
 }
 
+// flush moves every pre-aggregated group into the spill partitions and
+// empties the table: when it is full, and once at the end of phase one.
 func (a *localAgg) flush() {
 	a.ht.ForEach(func(ref hashtable.Ref) {
 		g := (*ssbGroup)(a.ht.Payload(ref))
@@ -141,6 +139,7 @@ func (a *localAgg) flush() {
 		row[1] = g.key
 		row[2] = uint64(g.sum)
 	})
+	a.ht.Clear()
 }
 
 // SSBQ11Ctx executes SSB Q1.1.

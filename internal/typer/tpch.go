@@ -54,6 +54,24 @@ func Q1Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q1Re
 		local := hashtable.New(7, 1)
 		local.Prepare(preAggCapacity)
 		sh := local.Shard(0)
+		// flush moves the pre-aggregated groups into the spill
+		// partitions and empties the table (when full, and at the end).
+		flush := func() {
+			local.ForEach(func(ref hashtable.Ref) {
+				h := local.Hash(ref)
+				g := (*q1Group)(local.Payload(ref))
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+				row[0] = h
+				row[1] = g.key
+				row[2] = uint64(g.sumQty)
+				row[3] = uint64(g.sumBase)
+				row[4] = uint64(g.sumDisc)
+				row[5] = uint64(g.sumCharge)
+				row[6] = uint64(g.sumDiscnt)
+				row[7] = uint64(g.count)
+			})
+			local.Clear()
+		}
 		for {
 			m, ok := disp.Next()
 			if !ok {
@@ -82,44 +100,22 @@ func Q1Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q1Re
 						}
 					}
 				}
-				if local.Rows() < preAggCapacity {
-					ref, p := sh.Alloc(local, h)
-					g := (*q1Group)(p)
-					g.key = key
-					g.sumQty = q
-					g.sumBase = e
-					g.sumDisc = e * (100 - d)
-					g.sumCharge = e * (100 - d) * (100 + t)
-					g.sumDiscnt = d
-					g.count = 1
-					local.Insert(ref, h)
-				} else {
-					row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-					row[0] = h
-					row[1] = key
-					row[2] = uint64(q)
-					row[3] = uint64(e)
-					row[4] = uint64(e * (100 - d))
-					row[5] = uint64(e * (100 - d) * (100 + t))
-					row[6] = uint64(d)
-					row[7] = 1
+				if local.Rows() >= preAggCapacity {
+					flush()
 				}
+				ref, p := sh.Alloc(local, h)
+				g := (*q1Group)(p)
+				g.key = key
+				g.sumQty = q
+				g.sumBase = e
+				g.sumDisc = e * (100 - d)
+				g.sumCharge = e * (100 - d) * (100 + t)
+				g.sumDiscnt = d
+				g.count = 1
+				local.Insert(ref, h)
 			}
 		}
-		// Flush the pre-aggregated groups into the spill partitions.
-		local.ForEach(func(ref hashtable.Ref) {
-			h := local.Hash(ref)
-			g := (*q1Group)(local.Payload(ref))
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-			row[0] = h
-			row[1] = g.key
-			row[2] = uint64(g.sumQty)
-			row[3] = uint64(g.sumBase)
-			row[4] = uint64(g.sumDisc)
-			row[5] = uint64(g.sumCharge)
-			row[6] = uint64(g.sumDiscnt)
-			row[7] = uint64(g.count)
-		})
+		flush()
 		bar.Wait(nil)
 
 		// Pipeline 2: per-partition merge of partial aggregates.
@@ -322,6 +318,18 @@ func Q3Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q3Re
 		local := hashtable.New(3, 1)
 		local.Prepare(preAggCapacity)
 		lsh := local.Shard(0)
+		flush := func() {
+			local.ForEach(func(ref hashtable.Ref) {
+				g := (*q3Group)(local.Payload(ref))
+				h := local.Hash(ref)
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+				row[0] = h
+				row[1] = g.key
+				row[2] = uint64(g.revenue)
+				row[3] = g.datePrio
+			})
+			local.Clear()
+		}
 		for {
 			m, ok := dispLine.Next()
 			if !ok {
@@ -349,35 +357,22 @@ func Q3Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q3Re
 									}
 								}
 							}
-							if local.Rows() < preAggCapacity {
-								gref, p := lsh.Alloc(local, h)
-								g := (*q3Group)(p)
-								g.key = key
-								g.revenue = rev
-								g.datePrio = o.datePrio
-								local.Insert(gref, h)
-							} else {
-								row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-								row[0] = h
-								row[1] = key
-								row[2] = uint64(rev)
-								row[3] = o.datePrio
+							if local.Rows() >= preAggCapacity {
+								flush()
 							}
+							gref, p := lsh.Alloc(local, h)
+							g := (*q3Group)(p)
+							g.key = key
+							g.revenue = rev
+							g.datePrio = o.datePrio
+							local.Insert(gref, h)
 							continue lines
 						}
 					}
 				}
 			}
 		}
-		local.ForEach(func(ref hashtable.Ref) {
-			g := (*q3Group)(local.Payload(ref))
-			h := local.Hash(ref)
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-			row[0] = h
-			row[1] = g.key
-			row[2] = uint64(g.revenue)
-			row[3] = g.datePrio
-		})
+		flush()
 		bar.Wait(nil)
 
 		// Pipeline 4: per-partition merge + top-10.
@@ -613,6 +608,17 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q9Re
 		local := hashtable.New(2, 1)
 		local.Prepare(preAggCapacity)
 		lsh := local.Shard(0)
+		flush := func() {
+			local.ForEach(func(ref hashtable.Ref) {
+				g := (*q9Group)(local.Payload(ref))
+				h := local.Hash(ref)
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+				row[0] = h
+				row[1] = g.key
+				row[2] = uint64(g.profit)
+			})
+			local.Clear()
+		}
 		for {
 			m, ok := dispOrd.Next()
 			if !ok {
@@ -651,29 +657,18 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q9Re
 					if found {
 						continue
 					}
-					if local.Rows() < preAggCapacity {
-						gref, p := lsh.Alloc(local, gh)
-						g := (*q9Group)(p)
-						g.key = gkey
-						g.profit = amount
-						local.Insert(gref, gh)
-					} else {
-						row := spill.AppendRow(wid, hashtable.PartitionOf(gh, aggPartitions))
-						row[0] = gh
-						row[1] = gkey
-						row[2] = uint64(amount)
+					if local.Rows() >= preAggCapacity {
+						flush()
 					}
+					gref, p := lsh.Alloc(local, gh)
+					g := (*q9Group)(p)
+					g.key = gkey
+					g.profit = amount
+					local.Insert(gref, gh)
 				}
 			}
 		}
-		local.ForEach(func(ref hashtable.Ref) {
-			g := (*q9Group)(local.Payload(ref))
-			h := local.Hash(ref)
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-			row[0] = h
-			row[1] = g.key
-			row[2] = uint64(g.profit)
-		})
+		flush()
 		bar.Wait(nil)
 
 		// Pipeline 6: per-partition merge.
@@ -775,6 +770,17 @@ func Q18Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q18
 		local := hashtable.New(2, 1)
 		local.Prepare(preAggCapacity)
 		lsh := local.Shard(0)
+		flush := func() {
+			local.ForEach(func(ref hashtable.Ref) {
+				g := (*q18Group)(local.Payload(ref))
+				h := local.Hash(ref)
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+				row[0] = h
+				row[1] = g.key
+				row[2] = uint64(g.sumQty)
+			})
+			local.Clear()
+		}
 		for {
 			m, ok := dispLine.Next()
 			if !ok {
@@ -794,28 +800,17 @@ func Q18Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q18
 						}
 					}
 				}
-				if local.Rows() < preAggCapacity {
-					ref, p := lsh.Alloc(local, h)
-					g := (*q18Group)(p)
-					g.key = key
-					g.sumQty = q
-					local.Insert(ref, h)
-				} else {
-					row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-					row[0] = h
-					row[1] = key
-					row[2] = uint64(q)
+				if local.Rows() >= preAggCapacity {
+					flush()
 				}
+				ref, p := lsh.Alloc(local, h)
+				g := (*q18Group)(p)
+				g.key = key
+				g.sumQty = q
+				local.Insert(ref, h)
 			}
 		}
-		local.ForEach(func(ref hashtable.Ref) {
-			g := (*q18Group)(local.Payload(ref))
-			h := local.Hash(ref)
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-			row[0] = h
-			row[1] = g.key
-			row[2] = uint64(g.sumQty)
-		})
+		flush()
 		bar.Wait(nil)
 
 		// Pipeline 2: merge partitions; groups exceeding the HAVING bound
